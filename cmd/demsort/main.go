@@ -81,7 +81,7 @@ func main() {
 	block := flag.Int("block", 1024, "block size in bytes")
 	kind := flag.String("workload", "uniform", "input distribution (sim KV16 mode)")
 	randomize := flag.Bool("randomize", true, "shuffle input blocks before run formation")
-	overlap := flag.Bool("overlap", true, "overlap I/O and communication with compute (pipelined all-to-all, async load/collect)")
+	overlap := flag.Bool("overlap", true, "model I/O and communication overlapped with compute (off: lock-step modelled clock and a window-1 all-to-all stream)")
 	striped := flag.Bool("striped", false, "use the globally striped algorithm (Section III)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	transport := flag.String("transport", "sim", "cluster backend: sim (virtual time) or tcp (real processes)")
@@ -561,10 +561,7 @@ func runKV16Sim(p, n int, mem int64, block int, kind string, randomize, overlap,
 		fail(err)
 		fmt.Printf("globally striped mergesort: P=%d N=%d (%d runs, %d merge batches)\n",
 			res.P, res.N, res.Runs, res.Batches)
-		for _, ph := range res.PhaseNames {
-			read, written := res.PhaseBytes(ph)
-			fmt.Printf("  %-20s %10.4fs   io %s\n", ph, res.MaxWall(ph), fmtIO(read, written, nBytes))
-		}
+		printPhases(res, res.PhaseNames, nBytes)
 		okSorted := true
 		for i := 1; i < len(res.Output); i++ {
 			if res.Output[i].Key < res.Output[i-1].Key {
@@ -587,10 +584,7 @@ func runKV16Sim(p, n int, mem int64, block int, kind string, randomize, overlap,
 	fail(err)
 	fmt.Printf("CanonicalMergeSort: P=%d N=%d (R=%d runs, k=%d sub-operations)\n",
 		res.P, res.N, res.Runs, res.SubOps)
-	for _, ph := range res.PhaseNames {
-		read, written := res.PhaseBytes(ph)
-		fmt.Printf("  %-20s %10.4fs   io %s\n", ph, res.MaxWall(ph), fmtIO(read, written, nBytes))
-	}
+	printPhases(res, res.PhaseNames, nBytes)
 	verdict(res.Validate(demsort.KV16Codec{}, input) == nil)
 	fmt.Printf("modelled total: %.4fs (%.2f MB/s equivalent)\n",
 		res.TotalWall(), float64(nBytes)/1e6/res.TotalWall())

@@ -193,7 +193,7 @@ func SampleSort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], er
 	err = m.Run(func(n *cluster.Node) error {
 		// Load input to disk (unmeasured), block-aligned. A Source
 		// streams the encoded tile straight onto the volume through
-		// FillFrom's one staging chunk; a slice input is encoded
+		// FillFrom's staging chunks; a slice input is encoded
 		// block-at-a-time as before.
 		n.SetPhase("load")
 		var blocks []blockio.BlockID

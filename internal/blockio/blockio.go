@@ -414,14 +414,30 @@ type Span struct {
 	Bytes int
 }
 
+// FillStages is the most staging chunks FillFrom holds at once: the
+// one being written, two queued by its reader goroutine and the one
+// that goroutine is reading while the queue is full. Callers charge
+// FillStages chunks to their memory budget.
+const FillStages = 4
+
+// fillChunk is one staged read of FillFrom.
+type fillChunk struct {
+	buf []byte
+	err error
+}
+
 // FillFrom streams totalBytes from r onto the volume, chunkBytes at a
-// time (the last span may be shorter), through a single pooled staging
-// buffer — the O(B)-memory way to load an input that does not fit in
-// RAM. chunkBytes is the caller's element-aligned block payload (it
-// may be less than BlockBytes when the element size does not divide
-// the block size). Spans are returned in stream order; on a short or
-// failed read the blocks already written are returned alongside the
-// error so the caller can free them.
+// time (the last span may be shorter) — the O(B)-memory way to load an
+// input that does not fit in RAM. A reader goroutine stages pooled
+// chunks up to FillStages-1 ahead while the calling PE goroutine
+// allocates and writes blocks, hiding the source reads behind the
+// store writes (the double-buffered load pipeline of §IV-E); the
+// volume itself is only ever touched by the calling goroutine.
+// chunkBytes is the caller's element-aligned block payload (it may be
+// less than BlockBytes when the element size does not divide the block
+// size). Spans are returned in stream order; on a short or failed read
+// the blocks already written are returned alongside the error so the
+// caller can free them.
 func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
 	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
 		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)
@@ -430,50 +446,7 @@ func (v *Volume) FillFrom(r io.Reader, totalBytes int64, chunkBytes int) ([]Span
 	if totalBytes <= 0 {
 		return spans, nil
 	}
-	buf := bufpool.Get(chunkBytes)
-	defer bufpool.Put(buf)
-	for rem := totalBytes; rem > 0; {
-		take := chunkBytes
-		if int64(take) > rem {
-			take = int(rem)
-		}
-		b := buf[:take]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return spans, fmt.Errorf("blockio: source read at byte %d of %d: %w", totalBytes-rem, totalBytes, err)
-		}
-		id := v.Alloc()
-		v.WriteAsync(id, b)
-		spans = append(spans, Span{ID: id, Bytes: take})
-		rem -= int64(take)
-	}
-	return spans, nil
-}
-
-// fillChunk is one staged read of an overlapped fill.
-type fillChunk struct {
-	buf []byte
-	err error
-}
-
-// FillFromOverlap is FillFrom with the source reads hidden behind the
-// store writes: a reader goroutine stages up to two pooled chunks ahead
-// while the calling PE goroutine allocates and writes blocks — the
-// double-buffered load pipeline of §IV-E (sort tile t while tile t+1
-// streams in rides on this plus run formation's prefetch). Spans,
-// errors and the allocation order are identical to FillFrom; the
-// memory bound grows from one staging chunk to at most three (the
-// bounded stage depth), and the volume itself is only ever touched by
-// the calling goroutine.
-func (v *Volume) FillFromOverlap(r io.Reader, totalBytes int64, chunkBytes int) ([]Span, error) {
-	if chunkBytes <= 0 || chunkBytes > v.blockBytes {
-		return nil, fmt.Errorf("blockio: FillFrom chunk %d outside (0, %d]", chunkBytes, v.blockBytes)
-	}
-	var spans []Span
-	if totalBytes <= 0 {
-		return spans, nil
-	}
-	const depth = 2
-	ch := make(chan fillChunk, depth)
+	ch := make(chan fillChunk, FillStages-2)
 	stop := make(chan struct{})
 	defer close(stop) // a consumer-side panic must not strand the reader
 	go func() {

@@ -11,6 +11,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -24,6 +25,10 @@ const (
 )
 
 var classes [maxBits + 1]sync.Pool
+
+// misses counts the Gets that found their size class empty and
+// allocated (see Misses).
+var misses atomic.Int64
 
 // class returns the smallest size class that holds n bytes.
 func class(n int) int {
@@ -53,8 +58,15 @@ func Get(n int) []byte {
 	if p, _ := classes[c].Get().(unsafe.Pointer); p != nil {
 		return unsafe.Slice((*byte)(p), 1<<c)[:n]
 	}
+	misses.Add(1)
 	return make([]byte, n, 1<<c)
 }
+
+// Misses returns the process-wide number of Get calls, so far, that
+// found no pooled buffer of their size class and allocated a fresh one
+// (sizes beyond the largest class are never pooled and not counted).
+// A steady state that recycles its buffers stops adding misses.
+func Misses() int64 { return misses.Load() }
 
 // Put returns a buffer to the arena. The buffer must not be used after
 // the call. Buffers below the minimum class or above the maximum are

@@ -84,3 +84,19 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestMissesCountsFreshAllocations(t *testing.T) {
+	// Drain whatever the 4 KiB class holds: the first Get that comes up
+	// empty must count exactly one miss.
+	before := Misses()
+	var held [][]byte
+	for i := 0; i < 1000 && Misses() == before; i++ {
+		held = append(held, Get(3000))
+	}
+	if got := Misses() - before; got != 1 {
+		t.Fatalf("draining the class counted %d misses, want 1", got)
+	}
+	for _, b := range held {
+		Put(b)
+	}
+}

@@ -201,9 +201,11 @@ type MailboxStats interface {
 // Ownership follows AllToAllv: posted send buffers belong to the stream
 // (the backend may hand them to the arena once written — the caller
 // must not touch them after Post), collected buffers belong to the
-// caller (RecycleRecv). While a stream is open no other collective may
-// run on the transport; Close (idempotent, safe during unwinds) must be
-// called before the next collective.
+// caller (RecycleRecv). While a stream is open no other collective,
+// Send or Recv may run on the transport; Close (idempotent, safe
+// during unwinds) must be called first. Node enforces the rule: a call
+// that breaks it panics with a protocol error, which the backends'
+// Run turns into an *ErrAborted naming the offending rank.
 type A2AStream interface {
 	// Post enqueues one exchange's send vectors (send[j] to PE j, nil
 	// entries allowed). It never blocks on the network; posting more
@@ -216,6 +218,17 @@ type A2AStream interface {
 	// Close releases the stream. Calling it with posted-but-uncollected
 	// exchanges pending is only legal during an abort unwind.
 	Close()
+}
+
+// StreamWindow is the A2AStream window of a pipelined phase: two
+// exchanges in flight with overlap (the §IV-E double buffer), one
+// without — Post s then Collect s, the call order of a plain AllToAllv
+// sequence, which is what the overlap-off ablation models.
+func StreamWindow(overlap bool) int {
+	if overlap {
+		return 2
+	}
+	return 1
 }
 
 // StreamingTransport is an optional Transport extension for backends
@@ -259,6 +272,11 @@ func (s *syncA2AStream) Close() {
 // asynchronous path of its own.
 func SyncA2AStream(tr Transport) A2AStream { return &syncA2AStream{tr: tr} }
 
+// errStreamOpen is the protocol error of a collective, Send or Recv
+// issued through a Node while one of its A2AStreams is still open:
+// the call would interleave its frames with the stream's on the wire.
+var errStreamOpen = errors.New("cluster: collective, Send or Recv while an A2AStream is open")
+
 // Node is the per-PE context handed to the program run on the machine:
 // the facade phase code programs against, delegating communication to
 // the backend Transport and time accounting to the backend Stats.
@@ -272,8 +290,9 @@ type Node struct {
 	// Mem tracks the PE's internal memory budget.
 	Mem *membudget.Tracker
 
-	tr Transport
-	st Stats
+	tr     Transport
+	st     Stats
+	stream *nodeStream // the open A2AStream, if any
 }
 
 // NewNode assembles a PE context over a backend transport and stats
@@ -316,47 +335,94 @@ func (n *Node) PhaseStats() (names []string, stats map[string]*vtime.PhaseStats)
 	return n.st.Stats()
 }
 
+// exclusive fails the PE with errStreamOpen when op would run while
+// an A2AStream is open (see A2AStream).
+func (n *Node) exclusive(op string) {
+	if n.stream != nil {
+		panic(fmt.Errorf("PE %d: %s: %w", n.Rank, op, errStreamOpen))
+	}
+}
+
 // Barrier synchronises all PEs.
-func (n *Node) Barrier() { n.tr.Barrier() }
+func (n *Node) Barrier() {
+	n.exclusive("Barrier")
+	n.tr.Barrier()
+}
 
 // AllToAllv sends send[j] to PE j and returns what every PE sent to
 // this one; see Transport.AllToAllv.
-func (n *Node) AllToAllv(send [][]byte) [][]byte { return n.tr.AllToAllv(send) }
+func (n *Node) AllToAllv(send [][]byte) [][]byte {
+	n.exclusive("AllToAllv")
+	return n.tr.AllToAllv(send)
+}
 
 // OpenA2AStream opens a pipelined all-to-all stream with the given
 // in-flight window (see A2AStream). Backends without an asynchronous
 // path get a synchronous adapter, so callers need no fallback logic:
 // the stream API is always available and always byte-identical to a
-// sequence of plain AllToAllv calls.
+// sequence of plain AllToAllv calls. Until the stream is closed, every
+// other collective, Send and Recv on n fails the PE.
 func (n *Node) OpenA2AStream(window int) A2AStream {
-	if st, ok := n.tr.(StreamingTransport); ok {
-		return st.OpenA2AStream(window)
+	n.exclusive("OpenA2AStream")
+	var st A2AStream = &syncA2AStream{tr: n.tr}
+	if tr, ok := n.tr.(StreamingTransport); ok {
+		st = tr.OpenA2AStream(window)
 	}
-	return &syncA2AStream{tr: n.tr}
+	n.stream = &nodeStream{A2AStream: st, n: n}
+	return n.stream
+}
+
+// nodeStream marks its Node's stream open until Close.
+type nodeStream struct {
+	A2AStream
+	n *Node
+}
+
+func (s *nodeStream) Close() {
+	s.A2AStream.Close()
+	if s.n.stream == s {
+		s.n.stream = nil
+	}
 }
 
 // AllGather collects each PE's byte slice, indexed by rank; the result
 // may be shared structurally (callers must not mutate it).
-func (n *Node) AllGather(data []byte) [][]byte { return n.tr.AllGather(data) }
+func (n *Node) AllGather(data []byte) [][]byte {
+	n.exclusive("AllGather")
+	return n.tr.AllGather(data)
+}
 
 // Bcast distributes root's data to every PE.
-func (n *Node) Bcast(root int, data []byte) []byte { return n.tr.Bcast(root, data) }
+func (n *Node) Bcast(root int, data []byte) []byte {
+	n.exclusive("Bcast")
+	return n.tr.Bcast(root, data)
+}
 
 // AllReduceInt64 combines every PE's value with op ("sum", "max",
 // "min", "or") and returns the result to all.
-func (n *Node) AllReduceInt64(v int64, op string) int64 { return n.tr.AllReduceInt64(v, op) }
+func (n *Node) AllReduceInt64(v int64, op string) int64 {
+	n.exclusive("AllReduceInt64")
+	return n.tr.AllReduceInt64(v, op)
+}
 
 // ExchangeAny is a generic personalised exchange of small metadata
 // values; see Transport.ExchangeAny.
 func (n *Node) ExchangeAny(items []any, nominalBytes int) []any {
+	n.exclusive("ExchangeAny")
 	return n.tr.ExchangeAny(items, nominalBytes)
 }
 
 // Send transmits payload to PE dst with a tag.
-func (n *Node) Send(dst, tag int, payload []byte) { n.tr.Send(dst, tag, payload) }
+func (n *Node) Send(dst, tag int, payload []byte) {
+	n.exclusive("Send")
+	n.tr.Send(dst, tag, payload)
+}
 
 // Recv blocks for the next message from src with the given tag.
-func (n *Node) Recv(src, tag int) []byte { return n.tr.Recv(src, tag) }
+func (n *Node) Recv(src, tag int) []byte {
+	n.exclusive("Recv")
+	return n.tr.Recv(src, tag)
+}
 
 // RecycleRecv returns AllToAllv payload buffers to the shared arena
 // once their contents have been decoded. Message buffers have exactly

@@ -392,7 +392,7 @@ func (t *transport) OpenA2AStream(window int) cluster.A2AStream {
 }
 
 // faultyStream injects the AllToAllv fault at each Post — the same
-// call position the synchronous path triggers at.
+// call position a plain AllToAllv triggers at.
 type faultyStream struct {
 	inner cluster.A2AStream
 	t     *transport

@@ -205,6 +205,80 @@ func TestDropConnAbortsBothRanks(t *testing.T) {
 	}
 }
 
+// TestStreamExclusivityEnforced: a Barrier issued while an A2AStream
+// is still open fails the machine deterministically — every rank
+// returns *cluster.ErrAborted naming the offender, on sim, on tcp and
+// through this package's wrapper — instead of interleaving its frames
+// with the stream's on the wire.
+func TestStreamExclusivityEnforced(t *testing.T) {
+	const p = 2
+	prog := func(n *cluster.Node) error {
+		st := n.OpenA2AStream(2)
+		defer st.Close()
+		st.Post(make([][]byte, p))
+		cluster.RecycleRecv(st.Collect())
+		if n.Rank == 1 {
+			n.Barrier() // illegal: the stream is still open
+		}
+		st.Close()
+		n.Barrier()
+		return nil
+	}
+	check := func(t *testing.T, errs []error) {
+		t.Helper()
+		for rank, err := range errs {
+			var ae *cluster.ErrAborted
+			if !errors.As(err, &ae) || ae.Rank != 1 || !strings.Contains(err.Error(), "while an A2AStream is open") {
+				t.Fatalf("rank %d returned %v, want *cluster.ErrAborted naming rank 1 for the open stream", rank, err)
+			}
+		}
+	}
+	runSim := func(t *testing.T, wrap bool) {
+		sm, err := sim.New(sim.Config{P: p, BlockBytes: block, MemElems: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m cluster.Machine = sm
+		if wrap {
+			m = faulty.Wrap(sm, seed)
+		}
+		defer m.Close()
+		check(t, []error{m.Run(prog)})
+	}
+	t.Run("sim", func(t *testing.T) { runSim(t, false) })
+	t.Run("faulty-sim", func(t *testing.T) { runSim(t, true) })
+	for _, wrap := range []bool{false, true} {
+		name := "tcp"
+		if wrap {
+			name = "faulty-tcp"
+		}
+		t.Run(name, func(t *testing.T) {
+			peers := freePorts(t, p)
+			errs := make([]error, p)
+			var wg sync.WaitGroup
+			for rank := 0; rank < p; rank++ {
+				wg.Add(1)
+				go func(rank int) {
+					defer wg.Done()
+					tm, err := tcp.New(tcp.Config{Rank: rank, Peers: peers, BlockBytes: block, ConnectTimeout: 20 * time.Second})
+					if err != nil {
+						errs[rank] = err
+						return
+					}
+					var m cluster.Machine = tm
+					if wrap {
+						m = faulty.Wrap(tm, seed)
+					}
+					defer m.Close()
+					errs[rank] = m.Run(prog)
+				}(rank)
+			}
+			wg.Wait()
+			check(t, errs)
+		})
+	}
+}
+
 func recSource(rank int) (io.Reader, int64, error) {
 	return sortbench.NewReader(seed, int64(rank)*nPer, nPer), nPer, nil
 }

@@ -1,15 +1,17 @@
 package tcp_test
 
-// Overlap conformance: every overlapped path of the pipeline — the
-// double-buffered Source load, the A2AStream-pipelined all-to-all, the
-// read-ahead Sink collect and the windowed striped collect — must
-// produce per-rank output streams byte-identical to the synchronous
-// paths, on the sim backend and on real tcp machines alike. The
-// synchronous sim run is the reference everything else diffs against.
+// Overlap conformance: Overlap only switches the modelled clock
+// between pipelined and lock-step schedules and the A2AStream window
+// of the all-to-all and the striped collect. With it on or off, the
+// per-rank output streams must be byte-identical on the sim backend
+// and on real tcp machines alike, and every phase must do the same
+// real I/O and traffic on either backend. The overlap-off sim run is
+// the reference every stream diffs against.
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -19,12 +21,35 @@ import (
 	"demsort/internal/core"
 	"demsort/internal/elem"
 	"demsort/internal/sortbench"
+	"demsort/internal/vtime"
 )
 
+// phaseCounters are one rank's per-phase I/O and traffic counters:
+// BytesRead, BytesWritten, BlocksRead, BlocksWritten, BytesSent.
+type phaseCounters map[string][5]int64
+
+func countersOf(stats map[string]*vtime.PhaseStats) phaseCounters {
+	pc := phaseCounters{}
+	for ph, st := range stats {
+		pc[ph] = [5]int64{st.BytesRead, st.BytesWritten, st.BlocksRead, st.BlocksWritten, st.BytesSent}
+	}
+	return pc
+}
+
+// checkSameWork fails when a phase of some rank did different real
+// work with Overlap on than with it off.
+func checkSameWork(t *testing.T, backend string, off, on []phaseCounters) {
+	t.Helper()
+	for rank := range off {
+		if !reflect.DeepEqual(off[rank], on[rank]) {
+			t.Fatalf("%s rank %d: Overlap changed the per-phase I/O or traffic:\noff %v\non  %v", backend, rank, off[rank], on[rank])
+		}
+	}
+}
+
 // sortSimStream runs the Source/Sink-fed canonical workload on the sim
-// backend — through the overlapped loader, exchange and collect when
-// overlap is set — and returns the per-rank Sink streams.
-func sortSimStream(t *testing.T, p int, overlap bool) [][]byte {
+// backend and returns the per-rank Sink streams and phase counters.
+func sortSimStream(t *testing.T, p int, overlap bool) ([][]byte, []phaseCounters) {
 	t.Helper()
 	cfg := confConfig(p)
 	cfg.KeepOutput = false
@@ -38,17 +63,23 @@ func sortSimStream(t *testing.T, p int, overlap bool) [][]byte {
 		mu.Unlock()
 		return nil
 	}
-	if _, err := core.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil); err != nil {
+	res, err := core.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	work := make([]phaseCounters, p)
+	for rank, stats := range res.PerPE {
+		work[rank] = countersOf(stats)
+	}
+	return out, work
 }
 
 // sortTCPStream is sortSimStream on p tcp machines.
-func sortTCPStream(t *testing.T, p int, newStore func(rank int) (blockio.Store, error), overlap bool) [][]byte {
+func sortTCPStream(t *testing.T, p int, newStore func(rank int) (blockio.Store, error), overlap bool) ([][]byte, []phaseCounters) {
 	t.Helper()
 	peers := reservePorts(t, p)
 	out := make([][]byte, p)
+	work := make([]phaseCounters, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
@@ -77,9 +108,12 @@ func sortTCPStream(t *testing.T, p int, newStore func(rank int) (blockio.Store, 
 				out[r] = append(out[r], b...)
 				return nil
 			}
-			if _, err := core.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil); err != nil {
+			res, err := core.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil)
+			if err != nil {
 				errs[rank] = err
+				return
 			}
+			work[rank] = countersOf(res.PerPE[rank])
 		}(rank)
 	}
 	wg.Wait()
@@ -88,12 +122,11 @@ func sortTCPStream(t *testing.T, p int, newStore func(rank int) (blockio.Store, 
 			t.Fatalf("tcp rank %d: %v", rank, err)
 		}
 	}
-	return out
+	return out, work
 }
 
-// TestOverlapConformance pins overlapped ≡ synchronous for the
-// canonical sort across P ∈ {2, 4, 8}, RAM and file stores, sim and
-// tcp backends.
+// TestOverlapConformance pins Overlap on ≡ off for the canonical sort
+// across P ∈ {2, 4, 8}, RAM and file stores, sim and tcp backends.
 func TestOverlapConformance(t *testing.T) {
 	for _, p := range []int{2, 4, 8} {
 		for _, store := range []string{"ram", "file"} {
@@ -102,23 +135,13 @@ func TestOverlapConformance(t *testing.T) {
 				if store == "file" {
 					newStore = blockio.FileStoreFactory(t.TempDir(), confBlock)
 				}
-				ref := sortSimStream(t, p, false)
-				runs := []struct {
-					name string
-					out  [][]byte
-				}{
-					{"sim overlapped", sortSimStream(t, p, true)},
-					{"tcp synchronous", sortTCPStream(t, p, newStore, false)},
-					{"tcp overlapped", sortTCPStream(t, p, newStore, true)},
-				}
-				for _, run := range runs {
-					for rank := 0; rank < p; rank++ {
-						if !bytes.Equal(ref[rank], run.out[rank]) {
-							t.Fatalf("rank %d: %s stream differs from synchronous sim (%d vs %d bytes)",
-								rank, run.name, len(run.out[rank]), len(ref[rank]))
-						}
-					}
-				}
+				ref, simOff := sortSimStream(t, p, false)
+				simOn, simOnWork := sortSimStream(t, p, true)
+				tcpOff, tcpOffWork := sortTCPStream(t, p, newStore, false)
+				tcpOn, tcpOnWork := sortTCPStream(t, p, newStore, true)
+				checkStreams(t, ref, []namedStream{{"sim overlap on", simOn}, {"tcp overlap off", tcpOff}, {"tcp overlap on", tcpOn}})
+				checkSameWork(t, "sim", simOff, simOnWork)
+				checkSameWork(t, "tcp", tcpOffWork, tcpOnWork)
 				var sums []sortbench.Summary
 				for _, part := range decodeParts(ref) {
 					sums = append(sums, sortbench.Validate(part))
@@ -132,9 +155,8 @@ func TestOverlapConformance(t *testing.T) {
 	}
 }
 
-// TestOverlapStripedConformance pins overlapped ≡ synchronous for the
-// striped sort's windowed collect (and its overlapped load) on both
-// backends.
+// TestOverlapStripedConformance pins Overlap on ≡ off for the striped
+// sort's windowed collect and its load on both backends.
 func TestOverlapStripedConformance(t *testing.T) {
 	const p = 4
 	for _, store := range []string{"ram", "file"} {
@@ -143,23 +165,33 @@ func TestOverlapStripedConformance(t *testing.T) {
 			if store == "file" {
 				newStore = blockio.FileStoreFactory(t.TempDir(), confBlock)
 			}
-			ref := sortStripedSim(t, p, false)
-			runs := []struct {
-				name string
-				out  [][]byte
-			}{
-				{"sim overlapped", sortStripedSim(t, p, true)},
-				{"tcp synchronous", sortStripedTCP(t, p, newStore, false)},
-				{"tcp overlapped", sortStripedTCP(t, p, newStore, true)},
-			}
-			for _, run := range runs {
-				for rank := 0; rank < p; rank++ {
-					if !bytes.Equal(ref[rank], run.out[rank]) {
-						t.Fatalf("rank %d: %s striped stream differs from synchronous sim (%d vs %d bytes)",
-							rank, run.name, len(run.out[rank]), len(ref[rank]))
-					}
-				}
-			}
+			ref, simOff := sortStripedSim(t, p, false)
+			simOn, simOnWork := sortStripedSim(t, p, true)
+			tcpOff, tcpOffWork := sortStripedTCP(t, p, newStore, false)
+			tcpOn, tcpOnWork := sortStripedTCP(t, p, newStore, true)
+			checkStreams(t, ref, []namedStream{{"sim overlap on", simOn}, {"tcp overlap off", tcpOff}, {"tcp overlap on", tcpOn}})
+			checkSameWork(t, "sim", simOff, simOnWork)
+			checkSameWork(t, "tcp", tcpOffWork, tcpOnWork)
 		})
+	}
+}
+
+// namedStream is one run's per-rank Sink streams.
+type namedStream struct {
+	name string
+	out  [][]byte
+}
+
+// checkStreams fails unless every run's per-rank streams equal the
+// overlap-off sim reference.
+func checkStreams(t *testing.T, ref [][]byte, runs []namedStream) {
+	t.Helper()
+	for _, run := range runs {
+		for rank := range ref {
+			if !bytes.Equal(ref[rank], run.out[rank]) {
+				t.Fatalf("rank %d: %s stream differs from the overlap-off sim run (%d vs %d bytes)",
+					rank, run.name, len(run.out[rank]), len(ref[rank]))
+			}
+		}
 	}
 }

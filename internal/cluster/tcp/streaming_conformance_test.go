@@ -39,8 +39,8 @@ func confSource(rank int) (io.Reader, int64, error) {
 
 // sortStripedSim runs the striped workload on the sim backend and
 // returns what each rank's Sink received (its contiguous share of the
-// sorted output).
-func sortStripedSim(t *testing.T, p int, overlap bool) [][]byte {
+// sorted output) and each rank's phase counters.
+func sortStripedSim(t *testing.T, p int, overlap bool) ([][]byte, []phaseCounters) {
 	t.Helper()
 	cfg := stripedConfConfig(p)
 	cfg.Overlap = overlap
@@ -53,18 +53,24 @@ func sortStripedSim(t *testing.T, p int, overlap bool) [][]byte {
 		mu.Unlock()
 		return nil
 	}
-	if _, err := stripesort.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil); err != nil {
+	res, err := stripesort.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	work := make([]phaseCounters, p)
+	for rank, stats := range res.PerPE {
+		work[rank] = countersOf(stats)
+	}
+	return out, work
 }
 
 // sortStripedTCP runs the same striped workload on p tcp machines and
-// returns the per-rank Sink streams.
-func sortStripedTCP(t *testing.T, p int, newStore func(rank int) (blockio.Store, error), overlap bool) [][]byte {
+// returns the per-rank Sink streams and phase counters.
+func sortStripedTCP(t *testing.T, p int, newStore func(rank int) (blockio.Store, error), overlap bool) ([][]byte, []phaseCounters) {
 	t.Helper()
 	peers := reservePorts(t, p)
 	out := make([][]byte, p)
+	work := make([]phaseCounters, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for rank := 0; rank < p; rank++ {
@@ -92,9 +98,12 @@ func sortStripedTCP(t *testing.T, p int, newStore func(rank int) (blockio.Store,
 				out[r] = append(out[r], b...)
 				return nil
 			}
-			if _, err := stripesort.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil); err != nil {
+			res, err := stripesort.Sort[elem.Rec100](elem.Rec100Codec{}, cfg, nil)
+			if err != nil {
 				errs[rank] = err
+				return
 			}
+			work[rank] = countersOf(res.PerPE[rank])
 		}(rank)
 	}
 	wg.Wait()
@@ -103,7 +112,7 @@ func sortStripedTCP(t *testing.T, p int, newStore func(rank int) (blockio.Store,
 			t.Fatalf("tcp rank %d: %v", rank, err)
 		}
 	}
-	return out
+	return out, work
 }
 
 // TestSimTCPStripedConformance: the striped sort's per-rank output
@@ -118,8 +127,8 @@ func TestSimTCPStripedConformance(t *testing.T) {
 				if store == "file" {
 					newStore = blockio.FileStoreFactory(t.TempDir(), confBlock)
 				}
-				simOut := sortStripedSim(t, p, true)
-				tcpOut := sortStripedTCP(t, p, newStore, true)
+				simOut, _ := sortStripedSim(t, p, true)
+				tcpOut, _ := sortStripedTCP(t, p, newStore, true)
 				for rank := 0; rank < p; rank++ {
 					if !bytes.Equal(simOut[rank], tcpOut[rank]) {
 						t.Fatalf("rank %d: striped sim and tcp streams differ (%d vs %d bytes)",

@@ -67,8 +67,12 @@ type Config struct {
 	Randomize bool
 	// Seed drives all randomization.
 	Seed uint64
-	// Overlap enables asynchronous I/O overlap (§IV-E); switching it
-	// off is the ablation knob.
+	// Overlap selects the modelled schedule of §IV-E: on, the modelled
+	// clock lets I/O run behind compute and communication; off, it
+	// waits for every read and write in lock-step — the ablation knob.
+	// It also sets the all-to-all's A2AStream window (2 on, 1 off).
+	// Real backends run the same pipeline and do the same I/O and
+	// traffic either way; the output is byte-identical.
 	Overlap bool
 	// SingleRunOpt enables the §IV-E special case for inputs that fit
 	// into one run: blocks are sorted as they arrive and merged,
@@ -97,14 +101,14 @@ type Config struct {
 	// encoded element bytes — the streaming dual of Sink, and the
 	// scalable alternative to the input slices. It returns the rank's
 	// byte stream and its element count; the load phase reads it
-	// block-at-a-time straight onto the rank's volume through one
-	// pooled staging buffer, so loading never holds more than one block
-	// of the tile in RAM (demsort's -infile path). With Source set the
-	// input argument of Sort must be nil. Reader lifecycle belongs to
-	// the caller (Sort consumes exactly count·elemSize bytes and does
-	// not Close). With a remote backend Source is only called for the
-	// locally hosted ranks, and every process must report the same
-	// per-rank counts.
+	// block-at-a-time straight onto the rank's volume through
+	// blockio.FillFrom's pooled staging buffers, so loading never holds
+	// more than blockio.FillStages blocks of the tile in RAM (demsort's
+	// -infile path). With Source set the input argument of Sort must be
+	// nil. Reader lifecycle belongs to the caller (Sort consumes exactly
+	// count·elemSize bytes and does not Close). With a remote backend
+	// Source is only called for the locally hosted ranks, and every
+	// process must report the same per-rank counts.
 	Source func(rank int) (io.Reader, int64, error)
 	// Sink, when non-nil, streams each locally hosted rank's sorted
 	// output as encoded element bytes — in order, block-at-a-time,

@@ -152,17 +152,13 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		return lastVals
 	}
 
-	// Overlapped mode pipelines the sub-operations over an A2AStream
-	// with a 2-exchange window: sub-op s+1's send windows are read off
-	// disk and encoded while sub-op s is still on the wire, so encode
-	// and transfer overlap (§IV-E). The budget grows from two staged
-	// sub-op quotas (send + recv) to three (send in flight, next send,
-	// recv); k = 1 has nothing to pipeline.
-	overlap := cfg.Overlap && n.P > 1 && k > 1
-	budget := 2 * quota
-	if overlap {
-		budget = 3 * quota
-	}
+	// The sub-operations run over an A2AStream: with overlap its window
+	// is 2, so sub-op s+1's send windows are read off disk and encoded
+	// while sub-op s is still on the wire (§IV-E); window 1 is the
+	// lock-step schedule. The budget stages one quota of receives plus
+	// one quota per posted send, and never more sends than sub-ops.
+	window := cluster.StreamWindow(cfg.Overlap)
+	budget := (1 + int64(min(window, k))) * quota
 	if cfg.MemElems > 0 {
 		n.Mem.MustAcquire(budget)
 		defer n.Mem.Release(budget)
@@ -171,9 +167,7 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 	// ----- Execute k sub-operations -----
 	// buildSend assembles sub-op s's send vectors (sequentially, in
 	// sub-op order: it advances the per-block send accounting and the
-	// read cache); process consumes sub-op s's receives. The overlapped
-	// and synchronous paths below run exactly the same calls in the same
-	// per-PE order, so their output is byte-identical.
+	// read cache); process consumes sub-op s's receives.
 	buildSend := func(s int) [][]byte {
 		send := make([][]byte, n.P)
 		for q := 0; q < n.P; q++ {
@@ -263,26 +257,17 @@ func exchange[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derived, m
 		}
 		return nil
 	}
-	if overlap {
-		st := n.OpenA2AStream(2)
-		defer st.Close() // idempotent; releases the sender on error unwinds
-		st.Post(buildSend(0))
-		for s := 0; s < k; s++ {
-			if s+1 < k {
-				st.Post(buildSend(s + 1))
-			}
-			if err := process(s, st.Collect()); err != nil {
-				return nil, 0, err
-			}
+	st := n.OpenA2AStream(window)
+	defer st.Close() // idempotent; releases the sender on error unwinds
+	for s, posted := 0, 0; s < k; s++ {
+		for ; posted < min(s+window, k); posted++ {
+			st.Post(buildSend(posted))
 		}
-		st.Close()
-	} else {
-		for s := 0; s < k; s++ {
-			if err := process(s, n.AllToAllv(buildSend(s))); err != nil {
-				return nil, 0, err
-			}
+		if err := process(s, st.Collect()); err != nil {
+			return nil, 0, err
 		}
 	}
+	st.Close()
 
 	// ----- Assemble per-run output files -----
 	out := make([]File, r)

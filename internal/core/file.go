@@ -279,27 +279,11 @@ func (r *reader[T]) next() (T, bool) {
 // streamRaw feeds a File's encoded bytes to fn in element order — the
 // zero-RAM-footprint way to drain a sorted output file (Config.Sink).
 // The slice passed to fn is only valid for the duration of the call.
-// With overlap the extents flow through two pooled buffers and extent
-// i+1's read is issued before fn consumes extent i, hiding the store
-// reads behind the sink writes; without it a single buffer is read
-// synchronously per extent.
+// The extents flow through two pooled buffers and extent i+1's read is
+// issued before fn consumes extent i, hiding the store reads behind
+// the sink writes. Without overlap the modelled clock waits for each
+// read as it is issued (the lock-step schedule of the §IV-E ablation).
 func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, overlap bool, fn func([]byte) error) error {
-	if !overlap {
-		raw := bufpool.Get(vol.BlockBytes())
-		defer func() { bufpool.Put(raw) }()
-		for _, e := range f.Extents {
-			need := (e.Off + e.Len) * c.Size()
-			if cap(raw) < need {
-				bufpool.Put(raw)
-				raw = bufpool.Get(need)
-			}
-			vol.ReadWait(e.ID, raw[:need])
-			if err := fn(raw[e.Off*c.Size() : need]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	var bufs [2][]byte
 	var hs [2]blockio.Handle
 	bufs[0] = bufpool.Get(vol.BlockBytes())
@@ -315,6 +299,9 @@ func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, overlap bool
 		}
 		bufs[b] = bufs[b][:need]
 		hs[b] = vol.ReadAsync(e.ID, bufs[b])
+		if !overlap {
+			vol.Wait(hs[b])
+		}
 	}
 	if len(f.Extents) > 0 {
 		issue(0)
@@ -334,18 +321,13 @@ func streamRaw[T any](c elem.Codec[T], vol *blockio.Volume, f File, overlap bool
 
 // loadStream fills a block-aligned File straight from an encoded byte
 // stream via blockio.FillFrom: no decode, no element slice — the load
-// phase's entire footprint is FillFrom's staging buffers, which is
-// what keeps an -infile run at O(m) end-to-end memory. The caller
-// charges the staging block(s) to the memory budget around the call.
-// With overlap the source reads run on a stage goroutine ahead of the
-// store writes (blockio.FillFromOverlap).
-func loadStream[T any](c elem.Codec[T], vol *blockio.Volume, r io.Reader, n int64, overlap bool) (File, error) {
+// phase's entire footprint is FillFrom's staging chunks, which is what
+// keeps an -infile run at O(m) end-to-end memory. The caller charges
+// the blockio.FillStages staging blocks to the memory budget around
+// the call.
+func loadStream[T any](c elem.Codec[T], vol *blockio.Volume, r io.Reader, n int64) (File, error) {
 	bElem := vol.BlockBytes() / c.Size()
-	fill := vol.FillFrom
-	if overlap {
-		fill = vol.FillFromOverlap
-	}
-	spans, err := fill(r, n*int64(c.Size()), bElem*c.Size())
+	spans, err := vol.FillFrom(r, n*int64(c.Size()), bElem*c.Size())
 	var f File
 	for _, sp := range spans {
 		f.Append(Extent{ID: sp.ID, Off: 0, Len: sp.Bytes / c.Size(), Own: true})

@@ -38,9 +38,9 @@ type Result[T any] struct {
 	PeakMemElems   []int64
 	PeakDiskBlocks []int64
 	// LoadPeakMemElems[rank] is the budget high-water mark at the end
-	// of the load phase. A Source-fed load charges only its block-sized
-	// staging buffer, so this stays O(B) no matter how large the tile
-	// is (the membudget test pins it).
+	// of the load phase. A Source-fed load charges only its
+	// blockio.FillStages staging blocks, so this stays O(B) no matter
+	// how large the tile is (the membudget test pins it).
 	LoadPeakMemElems []int64
 	// RunFormPeakMemElems[rank] is the budget high-water mark at the
 	// end of run formation, which now includes the in-node radix sort
@@ -326,19 +326,13 @@ func Sort[T any](c elem.Codec[T], cfg Config, input [][]T) (*Result[T], error) {
 			// Load the input onto the local disks (outside the measured
 			// sort: the paper's inputs pre-exist on disk). A Source streams
 			// the encoded tile block-at-a-time straight onto the volume —
-			// the only load-phase memory is the staging block it charges.
+			// the only load-phase memory is the staging blocks it charges.
 			var in File
 			if cfg.Source != nil {
-				// Overlapped loading stages up to three chunks (two in
-				// the reader goroutine's bounded channel, one being
-				// written) instead of one.
-				stage := int64(d.bElem)
-				if cfg.Overlap {
-					stage = 3 * int64(d.bElem)
-				}
+				stage := blockio.FillStages * int64(d.bElem)
 				n.Mem.MustAcquire(stage)
 				var err error
-				in, err = loadStream(c, n.Vol, sources[n.Rank], sourceN[n.Rank], cfg.Overlap)
+				in, err = loadStream(c, n.Vol, sources[n.Rank], sourceN[n.Rank])
 				n.Mem.Release(stage)
 				if err != nil {
 					return fmt.Errorf("core: input source, rank %d: %w", n.Rank, err)

@@ -119,10 +119,9 @@ func TestSortSourceRejectsBothInputs(t *testing.T) {
 
 // TestSortSourceLoadPeakIsBlockSized pins the O(m) claim of the
 // streaming loader: an -infile-style run (gensort records streamed
-// from a Source onto a file-backed store) charges the load phase only
-// its bounded staging — one block synchronously, three with the
-// overlapped reader pipeline — never the tile, which is three orders
-// of magnitude larger.
+// from a Source onto a file-backed store) charges the load phase
+// exactly FillFrom's blockio.FillStages staging blocks, with overlap on
+// or off — never the tile, which is three orders of magnitude larger.
 func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 	const p = 2
 	const nPer = 20000 // records per rank; tile = 2,000,000 bytes
@@ -141,16 +140,10 @@ func TestSortSourceLoadPeakIsBlockSized(t *testing.T) {
 			t.Fatal(err)
 		}
 		bElem := int64(res.BlockElems)
-		stage := bElem
-		if overlap {
-			stage = 3 * bElem
-		}
+		stage := blockio.FillStages * bElem
 		for rank, peak := range res.LoadPeakMemElems {
-			if peak > stage {
-				t.Errorf("overlap=%v rank %d: load phase held %d elements, want <= staging bound (%d)", overlap, rank, peak, stage)
-			}
-			if peak == 0 {
-				t.Errorf("overlap=%v rank %d: load phase charged nothing — the staging buffer is untracked", overlap, rank)
+			if peak != stage {
+				t.Errorf("overlap=%v rank %d: load phase held %d elements, want the staging bound (%d)", overlap, rank, peak, stage)
 			}
 		}
 		if bElem*100 > nPer {

@@ -63,14 +63,10 @@ func (p Path) String() string {
 //   - msdInsertion: American-flag recursion hands buckets ≤ 64 pairs
 //     to a binary-insertion-style (key, idx) sort; 48–96 measured flat
 //     on KV16 1M, 64 picked as the center.
-//   - closureParMin: the old 1024 floor, still correct for the
-//     closure-codec pipeline (unchanged: chunk sorts + mselect +
-//     merge), which pays one join per sort, not one per digit.
 const (
 	radixMinLen     = 192
 	parMinPerWorker = 8 << 10
 	msdInsertion    = 64
-	closureParMin   = 1024
 )
 
 // radixWorkers returns the scatter parallelism actually used for n

@@ -8,26 +8,20 @@
 // radix engine over (key, original index) pairs with two
 // interchangeable paths — a shared-histogram LSD scatter (lsd.go) and
 // an in-place American-flag MSD (msd.go) that needs roughly half the
-// scratch; see Path. Closure-only codecs keep the paper-shaped
-// pipeline one level down the hierarchy: sort core-local chunks, split
-// them exactly with multiway selection, merge the parts in parallel.
+// scratch; see Path. Closure-only codecs — no production codec is one
+// — fall back to a sequential stable comparison sort.
 //
 // Every path, for every worker count, produces the result of a stable
 // sort under the codec order, bit for bit: the radix engines sort the
 // pair array into the unique (key, index) order and permute the
-// elements once; the closure pipeline uses stable chunk sorts,
-// (chunk, position) tie-breaks in selection and chunk-index
-// tie-breaks in the merges.
+// elements once.
 package psort
 
 import (
 	"runtime"
 	"slices"
-	"sync"
 
 	"demsort/internal/elem"
-	"demsort/internal/mselect"
-	"demsort/internal/xmerge"
 )
 
 // DefaultWorkers returns the default in-node sorting parallelism:
@@ -54,20 +48,16 @@ func Sort[T any](c elem.Codec[T], vs []T, workers int) {
 // SortPath sorts vs in place using up to workers goroutines and the
 // requested radix path for keyed codecs (PathAuto resolves to the LSD
 // scatter; callers that must respect a memory budget pick explicitly —
-// see ScratchBytes). Closure-only codecs ignore path and use the
-// stable chunk-sort/select/merge pipeline. The result equals a stable
-// sort under the codec order for every worker count and every path.
+// see ScratchBytes). Closure-only codecs ignore path and workers and
+// run slices.SortStableFunc. The result equals a stable sort under the
+// codec order for every worker count and every path.
 func SortPath[T any](c elem.Codec[T], vs []T, workers int, path Path) {
 	n := len(vs)
 	if n < 2 {
 		return
 	}
 	kc, keyed := elem.Codec[T](c).(elem.KeyedCodec[T])
-	if !keyed {
-		sortClosure(c, vs, workers)
-		return
-	}
-	if n < radixMinLen {
+	if !keyed || n < radixMinLen {
 		slices.SortStableFunc(vs, cmp[T](c))
 		return
 	}
@@ -77,62 +67,6 @@ func SortPath[T any](c elem.Codec[T], vs []T, workers int, path Path) {
 	} else {
 		radixLSD(kc, vs, w)
 	}
-}
-
-// sortClosure is the comparator pipeline for codecs without normalized
-// keys: stable-sort `workers` chunks concurrently, split them exactly
-// with multiway selection, merge the parts in parallel. One join per
-// sort (not per digit), so the old small-n guard still holds.
-func sortClosure[T any](c elem.Codec[T], vs []T, workers int) {
-	n := len(vs)
-	if workers <= 1 || n < 4*workers || n < closureParMin {
-		slices.SortStableFunc(vs, cmp(c))
-		return
-	}
-	out := make([]T, n)
-	// 1. Sort `workers` chunks concurrently.
-	chunks := make([][]T, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		chunks[w] = vs[lo:hi]
-		wg.Add(1)
-		go func(part []T) {
-			defer wg.Done()
-			slices.SortStableFunc(part, cmp(c))
-		}(chunks[w])
-	}
-	wg.Wait()
-
-	// 2. Exact equal-size splits of the sorted chunks.
-	acc := mselect.SliceAccessor[T](chunks)
-	cuts := make([][]int64, workers+1)
-	cuts[0] = make([]int64, workers)
-	cuts[workers] = make([]int64, workers)
-	for w := range chunks {
-		cuts[workers][w] = int64(len(chunks[w]))
-	}
-	for i := 1; i < workers; i++ {
-		cuts[i] = mselect.Select[T](c, acc, int64(n)*int64(i)/int64(workers))
-	}
-
-	// 3. Merge each output part concurrently into the scratch buffer.
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		pieces := make([][]T, workers)
-		for q := 0; q < workers; q++ {
-			pieces[q] = chunks[q][cuts[w][q]:cuts[w+1][q]]
-		}
-		wg.Add(1)
-		go func(dst []T, pieces [][]T) {
-			defer wg.Done()
-			xmerge.AppendMerge[T](c, dst[:0], pieces)
-		}(out[lo:hi], pieces)
-	}
-	wg.Wait()
-	copy(vs, out)
 }
 
 // cmp converts a codec order into a three-way comparison.

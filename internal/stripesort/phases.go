@@ -45,10 +45,10 @@ func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, chu
 }
 
 // runPE executes the whole striped sort on one PE. Input arrives
-// either as src (a stream of srcN encoded elements, loaded through one
-// staging block) or as the myInput slice; sink receives the rank's
-// contiguous share of the sorted output (nil = leave the striped
-// blocks on the volumes).
+// either as src (a stream of srcN encoded elements, loaded through
+// FillFrom's staging blocks) or as the myInput slice; sink receives
+// the rank's contiguous share of the sorted output (nil = leave the
+// striped blocks on the volumes).
 func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int, src io.Reader, srcN int64, myInput []T, sink func(rank int, b []byte) error) (*peState[T], error) {
 	sz := c.Size()
 	key, exact := elem.KeyFn(c)
@@ -61,16 +61,9 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 	}
 	var inBlocks []inBlock
 	if src != nil {
-		// Staging blocks charged to the budget: one synchronous, three
-		// when the reader goroutine stages ahead of the store writes.
-		stage := int64(bElem)
-		fill := n.Vol.FillFrom
-		if cfg.Overlap {
-			stage = 3 * int64(bElem)
-			fill = n.Vol.FillFromOverlap
-		}
+		stage := blockio.FillStages * int64(bElem)
 		n.Mem.MustAcquire(stage)
-		spans, err := fill(src, srcN*int64(sz), bElem*sz)
+		spans, err := n.Vol.FillFrom(src, srcN*int64(sz), bElem*sz)
 		n.Mem.Release(stage)
 		if err != nil {
 			for _, sp := range spans {
@@ -572,7 +565,7 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 // receives blocks [G·i/P, G·(i+1)/P), so the per-rank sink streams
 // concatenate — in rank order — to the sorted sequence, exactly like
 // core.Sort's canonical partition. The transfer runs in windows of W
-// consecutive blocks per AllToAllv round, bounding both the sender's
+// consecutive blocks per exchange round, bounding both the sender's
 // staging and the receiver's reorder buffer to O(W·B) — the streamed
 // replacement for the old in-process [][]outBlock reassembly. Homes
 // free their blocks as they are shipped, so the striped copy is
@@ -622,9 +615,7 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	var sunk int64
 	// buildSend stages the blocks of output indices [w0, w1) and charges
 	// their elements to the budget (released once the exchange that
-	// carries them completes); drain sinks one window's receives. The
-	// overlapped and synchronous paths below issue the same calls in the
-	// same per-PE order, so the sink streams are byte-identical.
+	// carries them completes); drain sinks one window's receives.
 	buildSend := func(w1 int64) ([][]byte, int64) {
 		send := make([][]byte, n.P)
 		var sendElems int64
@@ -669,44 +660,30 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 		n.Mem.Release(recvElems)
 		return nil
 	}
+	// The windows run over an A2AStream (§IV-E): with overlap, window
+	// wi+1's blocks are read off the store and staged while window wi
+	// is still on the wire, so the part-file sink writes overlap the
+	// next exchange — at most two windows' send staging plus one
+	// window's receives are live, each bounded by w blocks.
 	nWin := (total + w - 1) / w
-	if cfg.Overlap && n.P > 1 && nWin > 1 {
-		// Pipelined collect (§IV-E): window wi+1's blocks are read off
-		// the store and staged while window wi is still on the wire, so
-		// the part-file sink writes overlap the next exchange. At most
-		// two windows' send staging plus one window's receives are live,
-		// each bounded by w blocks.
-		st := n.OpenA2AStream(2)
-		defer st.Close() // idempotent; releases the sender on error unwinds
-		inFlight := make([]int64, 0, 2)
-		post := func(wi int64) {
-			send, elems := buildSend(min64((wi+1)*w, total))
+	depth := int64(cluster.StreamWindow(cfg.Overlap))
+	st := n.OpenA2AStream(int(depth))
+	defer st.Close() // idempotent; releases the sender on error unwinds
+	var inFlight []int64
+	for wi, posted := int64(0), int64(0); wi < nWin; wi++ {
+		for ; posted < min64(wi+depth, nWin); posted++ {
+			send, elems := buildSend(min64((posted+1)*w, total))
 			st.Post(send)
 			inFlight = append(inFlight, elems)
 		}
-		post(0)
-		for wi := int64(0); wi < nWin; wi++ {
-			if wi+1 < nWin {
-				post(wi + 1)
-			}
-			recv := st.Collect()
-			n.Mem.Release(inFlight[0]) // send copies delivered
-			inFlight = inFlight[1:]
-			if err := drain(recv); err != nil {
-				return sunk, err
-			}
-		}
-		st.Close()
-	} else {
-		for w0 := int64(0); w0 < total; w0 += w {
-			send, sendElems := buildSend(min64(w0+w, total))
-			recv := n.AllToAllv(send)
-			n.Mem.Release(sendElems) // send copies handed off to receivers
-			if err := drain(recv); err != nil {
-				return sunk, err
-			}
+		recv := st.Collect()
+		n.Mem.Release(inFlight[0]) // send copies delivered
+		inFlight = inFlight[1:]
+		if err := drain(recv); err != nil {
+			return sunk, err
 		}
 	}
+	st.Close()
 	return sunk, nil
 }
 

@@ -51,7 +51,11 @@ type Config struct {
 	Randomize bool
 	// Seed drives randomization.
 	Seed uint64
-	// Overlap enables asynchronous I/O.
+	// Overlap selects the modelled schedule, as core.Config.Overlap:
+	// on, modelled I/O runs behind compute; off, the modelled clock
+	// waits in lock-step. It also sets the collect's A2AStream window
+	// (2 on, 1 off). Real I/O, traffic and output are the same either
+	// way.
 	Overlap bool
 	// RealWorkers is the genuine sorting parallelism inside a PE.
 	RealWorkers int
@@ -68,8 +72,8 @@ type Config struct {
 	// Source, when non-nil, streams each locally hosted rank's input
 	// as encoded element bytes (see core.Config.Source): the load
 	// phase reads it block-at-a-time onto the rank's volume, holding
-	// only one staging block in RAM. With Source set the input
-	// argument of Sort must be nil.
+	// only blockio.FillStages staging blocks in RAM. With Source set
+	// the input argument of Sort must be nil.
 	Source func(rank int) (io.Reader, int64, error)
 	// Sink, when non-nil, streams the sorted output: after the merge,
 	// the striped blocks are re-routed over the transport so that rank

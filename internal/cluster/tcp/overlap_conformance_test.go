@@ -135,12 +135,12 @@ func TestOverlapConformance(t *testing.T) {
 				if store == "file" {
 					newStore = blockio.FileStoreFactory(t.TempDir(), confBlock)
 				}
-				ref, simOff := sortSimStream(t, p, false)
+				ref, simOffWork := sortSimStream(t, p, false)
 				simOn, simOnWork := sortSimStream(t, p, true)
 				tcpOff, tcpOffWork := sortTCPStream(t, p, newStore, false)
 				tcpOn, tcpOnWork := sortTCPStream(t, p, newStore, true)
 				checkStreams(t, ref, []namedStream{{"sim overlap on", simOn}, {"tcp overlap off", tcpOff}, {"tcp overlap on", tcpOn}})
-				checkSameWork(t, "sim", simOff, simOnWork)
+				checkSameWork(t, "sim", simOffWork, simOnWork)
 				checkSameWork(t, "tcp", tcpOffWork, tcpOnWork)
 				var sums []sortbench.Summary
 				for _, part := range decodeParts(ref) {
@@ -165,12 +165,12 @@ func TestOverlapStripedConformance(t *testing.T) {
 			if store == "file" {
 				newStore = blockio.FileStoreFactory(t.TempDir(), confBlock)
 			}
-			ref, simOff := sortStripedSim(t, p, false)
+			ref, simOffWork := sortStripedSim(t, p, false)
 			simOn, simOnWork := sortStripedSim(t, p, true)
 			tcpOff, tcpOffWork := sortStripedTCP(t, p, newStore, false)
 			tcpOn, tcpOnWork := sortStripedTCP(t, p, newStore, true)
 			checkStreams(t, ref, []namedStream{{"sim overlap on", simOn}, {"tcp overlap off", tcpOff}, {"tcp overlap on", tcpOn}})
-			checkSameWork(t, "sim", simOff, simOnWork)
+			checkSameWork(t, "sim", simOffWork, simOnWork)
 			checkSameWork(t, "tcp", tcpOffWork, tcpOnWork)
 		})
 	}

@@ -615,7 +615,19 @@ func (m *Machine) broadcastAbort(ae *cluster.ErrAborted) {
 		if rank == m.rank || pc == nil || pc.conn == nil {
 			continue
 		}
-		if pc.wmu.TryLock() {
+		// The lane may be busy with a heartbeat — the liveness ticker
+		// sends them right after waking the waits that detect a silent
+		// peer — or a data frame; on a live peer either ends quickly.
+		// Wait a little for it: a skipped peer learns of the abort only
+		// as this rank's lost connection and blames this rank. A writer
+		// stuck on a wedged peer holds the lane longer; that peer is
+		// skipped.
+		locked := pc.wmu.TryLock()
+		for tries := 0; !locked && tries < 100; tries++ {
+			time.Sleep(time.Millisecond)
+			locked = pc.wmu.TryLock()
+		}
+		if locked {
 			pc.conn.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
 			bufs := net.Buffers{hdr[:], payload}
 			bufs.WriteTo(pc.conn) // best effort: EOF peers learn via their read side

@@ -6,14 +6,18 @@
 GO ?= go
 BIN := bin
 
-.PHONY: all build lint vet demsortvet staticcheck test race runform-bench clean
+.PHONY: all build lint fmt vet demsortvet staticcheck test race runform-bench clean
 
 all: build lint test
 
 build:
 	$(GO) build ./...
 
-lint: vet demsortvet staticcheck
+lint: fmt vet demsortvet staticcheck
+
+# Fails when any Go file is not gofmt-formatted, listing the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -98,7 +98,7 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 				n.Vol.Wait(p.handle)
 				blk := elem.DecodeSlice(c, p.raw, p.ext.Len)
 				bufpool.Put(p.raw)
-				sortChunkBudgeted(c, n, cfg, blk)
+				SortChunkBudgeted(c, n, cfg.RadixPath, cfg.RealWorkers, blk)
 				n.AddCPU(cfg.Model.SortCPU(int64(len(blk))) + cfg.Model.ScanCPU(int64(len(blk))))
 				blocks = append(blocks, blk)
 				n.Vol.Free(p.ext.ID)
@@ -113,7 +113,7 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 				n.Vol.Free(p.ext.ID)
 			}
 			n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
-			sortChunkBudgeted(c, n, cfg, chunk)
+			SortChunkBudgeted(c, n, cfg.RadixPath, cfg.RealWorkers, chunk)
 			n.AddCPU(cfg.Model.SortCPU(int64(len(chunk))))
 		}
 		cur = next
@@ -179,30 +179,30 @@ func runFormation[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, d derive
 	return out, nil
 }
 
-// sortChunkBudgeted runs one of run formation's in-node sorts with
-// the radix scratch charged against the memory budget — historically a
-// blind spot: the keyIdx pair buffers and the LSD gather buffer were
-// invisible to the tracker. A PathAuto config resolves per chunk
-// against the live headroom: the LSD scatter while its scratch fits,
-// the in-place MSD when memory is tight (about half the scratch — one
-// pair buffer, no element gather buffer). Closure-only codecs bypass
-// the radix engines and charge nothing, as before.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, chunk []T) {
+// SortChunkBudgeted runs one of run formation's in-node sorts (with
+// the given radix path and worker count) and charges the radix scratch
+// against n's memory budget — historically a blind spot: the keyIdx
+// pair buffers and the LSD gather buffer were invisible to the
+// tracker. PathAuto resolves per chunk against the live headroom: the
+// LSD scatter while its scratch fits, the in-place MSD when memory is
+// tight (about half the scratch — one pair buffer, no element gather
+// buffer). Closure-only codecs bypass the radix engines and charge
+// nothing. The striped sorter's run formation shares it.
+func SortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, path psort.Path, workers int, chunk []T) {
 	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, cfg.RealWorkers)
+		psort.Sort(c, chunk, workers)
 		return
 	}
-	path := cfg.RadixPath
 	if path == psort.PathAuto {
 		path = psort.PathLSD
-		need := scratchElems(psort.PathLSD, c.Size(), len(chunk), cfg.RealWorkers)
+		need := scratchElems(psort.PathLSD, c.Size(), len(chunk), workers)
 		if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+need > lim {
 			path = psort.PathMSD
 		}
 	}
-	scratch := scratchElems(path, c.Size(), len(chunk), cfg.RealWorkers)
+	scratch := scratchElems(path, c.Size(), len(chunk), workers)
 	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, cfg.RealWorkers, path)
+	psort.SortPath(c, chunk, workers, path)
 	n.Mem.Release(scratch)
 }
 

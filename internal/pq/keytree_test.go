@@ -1,6 +1,7 @@
 package pq
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -34,11 +35,32 @@ func mergeWithKeyTree(seqs [][]uint64, tie func(a, b int) bool) (vals []uint64, 
 	return vals, srcs
 }
 
-// TestKeyTreeVsHeapDuplicateHeavy cross-checks the key tree against
-// the binary heap on duplicate-heavy streams: same multiset out, same
-// (value, stream-index) emission order — the heap is ordered by
-// (value, stream) exactly like the tree's tie rule.
-func TestKeyTreeVsHeapDuplicateHeavy(t *testing.T) {
+// stableMerge is the reference merge: the concatenation of the
+// streams, stably sorted by value — (value, stream-index) order, the
+// tree's tie rule for exact keys.
+func stableMerge(seqs [][]uint64) (vals []uint64, srcs []int) {
+	type ent struct {
+		v   uint64
+		src int
+	}
+	var all []ent
+	for i, s := range seqs {
+		for _, v := range s {
+			all = append(all, ent{v, i})
+		}
+	}
+	slices.SortStableFunc(all, func(a, b ent) int { return cmp.Compare(a.v, b.v) })
+	for _, e := range all {
+		vals = append(vals, e.v)
+		srcs = append(srcs, e.src)
+	}
+	return vals, srcs
+}
+
+// TestKeyTreeStableDuplicateHeavy cross-checks the key tree against a
+// stable sort of the concatenated streams on duplicate-heavy input:
+// same (value, stream-index) emission order.
+func TestKeyTreeStableDuplicateHeavy(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	for _, k := range []int{1, 2, 3, 4, 7, 16, 33} {
 		seqs := make([][]uint64, k)
@@ -51,43 +73,17 @@ func TestKeyTreeVsHeapDuplicateHeavy(t *testing.T) {
 			slices.Sort(seqs[i])
 		}
 		gotV, gotS := mergeWithKeyTree(seqs, nil)
-
-		type hent struct {
-			v   uint64
-			src int
-			pos int
-		}
-		h := NewHeap(func(a, b hent) bool {
-			if a.v != b.v {
-				return a.v < b.v
-			}
-			return a.src < b.src
-		})
-		for i, s := range seqs {
-			if len(s) > 0 {
-				h.Push(hent{v: s[0], src: i})
-			}
-		}
-		var wantV []uint64
-		var wantS []int
-		for h.Len() > 0 {
-			e := h.Pop()
-			wantV = append(wantV, e.v)
-			wantS = append(wantS, e.src)
-			if e.pos+1 < len(seqs[e.src]) {
-				h.Push(hent{v: seqs[e.src][e.pos+1], src: e.src, pos: e.pos + 1})
-			}
-		}
+		wantV, wantS := stableMerge(seqs)
 		if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) {
-			t.Fatalf("k=%d: key tree and heap disagree", k)
+			t.Fatalf("k=%d: key tree and stable sort disagree", k)
 		}
 	}
 }
 
-// TestKeyTreeMatchesLoserTree cross-checks against the generic
-// comparator tree on random streams including the dead-key sentinel
-// value ^0 as a live key.
-func TestKeyTreeMatchesLoserTree(t *testing.T) {
+// TestKeyTreeStableSentinelKeys cross-checks against a stable sort on
+// random streams that carry the dead-key sentinel value ^0 as a live
+// key.
+func TestKeyTreeStableSentinelKeys(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 5))
 	for _, k := range []int{2, 5, 9, 17} {
 		seqs := make([][]uint64, k)
@@ -107,33 +103,9 @@ func TestKeyTreeMatchesLoserTree(t *testing.T) {
 			slices.Sort(seqs[i])
 		}
 		gotV, gotS := mergeWithKeyTree(seqs, nil)
-
-		heads := make([]uint64, k)
-		live := make([]bool, k)
-		pos := make([]int, k)
-		for i, s := range seqs {
-			if len(s) > 0 {
-				heads[i] = s[0]
-				live[i] = true
-				pos[i] = 1
-			}
-		}
-		lt := NewLoserTree(k, heads, live, func(a, b uint64) bool { return a < b })
-		var wantV []uint64
-		var wantS []int
-		for !lt.Empty() {
-			v, i := lt.Min()
-			wantV = append(wantV, v)
-			wantS = append(wantS, i)
-			if pos[i] < len(seqs[i]) {
-				lt.Replace(seqs[i][pos[i]])
-				pos[i]++
-			} else {
-				lt.Retire()
-			}
-		}
+		wantV, wantS := stableMerge(seqs)
 		if !slices.Equal(gotV, wantV) || !slices.Equal(gotS, wantS) {
-			t.Fatalf("k=%d: key tree and loser tree disagree", k)
+			t.Fatalf("k=%d: key tree and stable sort disagree", k)
 		}
 	}
 }

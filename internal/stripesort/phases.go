@@ -1,48 +1,22 @@
 package stripesort
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"demsort/internal/blockio"
 	"demsort/internal/bufpool"
 	"demsort/internal/cluster"
+	"demsort/internal/core"
 	"demsort/internal/dselect"
 	"demsort/internal/elem"
-	"demsort/internal/psort"
 	"demsort/internal/xmerge"
 )
-
-// sortChunkBudgeted mirrors core's run-formation sort: the radix
-// scratch (pair buffers, histograms, LSD gather buffer) is charged
-// against the memory budget, and a PathAuto config resolves per chunk
-// against the live headroom — LSD scatter while its scratch fits, the
-// in-place MSD when memory is tight. Closure-only codecs bypass the
-// radix engines and charge nothing.
-func sortChunkBudgeted[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, chunk []T) {
-	if _, keyed := elem.Codec[T](c).(elem.KeyedCodec[T]); !keyed {
-		psort.Sort(c, chunk, cfg.RealWorkers)
-		return
-	}
-	scratchElems := func(path psort.Path) int64 {
-		b := psort.ScratchBytes(path, c.Size(), len(chunk), cfg.RealWorkers)
-		return (b + int64(c.Size()) - 1) / int64(c.Size())
-	}
-	path := cfg.RadixPath
-	if path == psort.PathAuto {
-		path = psort.PathLSD
-		if lim := n.Mem.Limit(); lim > 0 && n.Mem.Used()+scratchElems(psort.PathLSD) > lim {
-			path = psort.PathMSD
-		}
-	}
-	scratch := scratchElems(path)
-	n.Mem.MustAcquire(scratch)
-	psort.SortPath(c, chunk, cfg.RealWorkers, path)
-	n.Mem.Release(scratch)
-}
 
 // runPE executes the whole striped sort on one PE. Input arrives
 // either as src (a stream of srcN encoded elements, loaded through
@@ -115,134 +89,77 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 	runLens := make([]int64, runs)
 
 	raw := bufpool.Get(cfg.BlockBytes)
+	var frames []stripeFrame
 	for r := 0; r < runs; r++ {
-		lo := r * bpr
-		var chunk []T
-		if lo < len(inBlocks) {
-			hi := lo + bpr
-			if hi > len(inBlocks) {
-				hi = len(inBlocks)
-			}
-			for _, b := range inBlocks[lo:hi] {
-				n.Vol.ReadWait(b.id, raw[:b.len*sz])
-				chunk = elem.AppendDecode(c, chunk, raw, b.len)
-				n.Vol.Free(b.id)
-			}
+		runBlocks := inBlocks[min(r*bpr, len(inBlocks)):min((r+1)*bpr, len(inBlocks))]
+		var chunkLen int64
+		for _, b := range runBlocks {
+			chunkLen += int64(b.len)
 		}
-		n.Mem.MustAcquire(int64(len(chunk)))
-		sortChunkBudgeted(c, n, cfg, chunk)
-		n.AddCPU(cfg.Model.SortCPU(int64(len(chunk))) + cfg.Model.ScanCPU(int64(len(chunk))))
+		n.Mem.MustAcquire(chunkLen)
+		chunk := make([]T, chunkLen)
+		off := 0
+		for _, b := range runBlocks {
+			n.Vol.ReadWait(b.id, raw[:b.len*sz])
+			elem.DecodeInto(c, chunk[off:off+b.len], raw)
+			off += b.len
+			n.Vol.Free(b.id)
+		}
+		core.SortChunkBudgeted(c, n, cfg.RadixPath, cfg.RealWorkers, chunk)
+		n.AddCPU(cfg.Model.SortCPU(chunkLen) + cfg.Model.ScanCPU(chunkLen))
 
-		runLen := n.AllReduceInt64(int64(len(chunk)), "sum")
+		runLen := n.AllReduceInt64(chunkLen, "sum")
 		runLens[r] = runLen
 		bounds := make([]int64, n.P+1)
 		for i := 0; i <= n.P; i++ {
 			bounds[i] = runLen * int64(i) / int64(n.P)
 		}
-		cuts := dselect.Cuts(c, n, chunk, bounds[1:n.P])
-		send := make([][]byte, n.P)
-		for q := 0; q < n.P; q++ {
-			qlo := int64(0)
-			if q > 0 {
-				qlo = cuts[q-1]
-			}
-			qhi := int64(len(chunk))
-			if q < n.P-1 {
-				qhi = cuts[q]
-			}
-			sb := bufpool.Get(int(qhi-qlo) * sz)
-			elem.EncodeInto(c, sb, chunk[qlo:qhi])
-			send[q] = sb
-		}
-		n.AddCPU(cfg.Model.ScanCPU(int64(len(chunk))))
-		chunkLen := int64(len(chunk))
-		chunk = nil
+		send := encodeParts(c, chunk, dselect.Cuts(c, n, chunk, bounds[1:n.P]))
+		n.AddCPU(cfg.Model.ScanCPU(chunkLen))
 		n.Mem.Release(chunkLen) // decoded chunk dropped (send buffers encoded)
 		recv := n.AllToAllv(send)
 		segLen := bounds[n.Rank+1] - bounds[n.Rank]
-		// Decoded pieces + merged segment + striping assembly buffers.
+		// Decoded pieces (in the dead chunk's array when it fits) +
+		// merged segment + encoded stripe frames.
 		n.Mem.MustAcquire(3 * segLen)
-		pieces := make([][]T, n.P)
-		for q := 0; q < n.P; q++ {
-			pieces[q] = elem.DecodeSlice(c, recv[q], len(recv[q])/sz)
+		pieces, got := decodeParts(c, recv, chunk)
+		if got != segLen {
+			return nil, fmt.Errorf("stripesort: run %d: segment %d != %d", r, got, segLen)
 		}
-		cluster.RecycleRecv(recv)
 		merged := xmerge.Merge(c, pieces)
 		n.AddCPU(cfg.Model.MergeCPU(segLen, n.P) + cfg.Model.ScanCPU(segLen))
-		if int64(len(merged)) != segLen {
-			return nil, fmt.Errorf("stripesort: run %d: segment %d != %d", r, len(merged), segLen)
-		}
 
 		// Stripe the sorted run globally: block g of the run goes to
 		// PE g mod P — the extra communication of Section III.
-		segStart := bounds[n.Rank]
-		stripeSend := make([][]byte, n.P)
-		for pos := int64(0); pos < segLen; {
-			g := (segStart + pos) / int64(bElem)
-			bLo := g * int64(bElem)
-			bHi := bLo + int64(bElem)
-			if bHi > runLen {
-				bHi = runLen
-			}
-			take := min64(bHi-segStart-pos, segLen-pos)
-			home := int(g % int64(n.P))
-			var hdr [16]byte
-			binary.LittleEndian.PutUint64(hdr[:8], uint64(g))
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(segStart+pos-bLo))
-			binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
-			stripeSend[home] = append(stripeSend[home], hdr[:]...)
-			stripeSend[home] = elem.AppendEncode(c, stripeSend[home], merged[pos:pos+take])
-			pos += take
-		}
+		stripeSend := stripeFrames(c, n.P, bElem, bounds[n.Rank], merged)
 		n.AddCPU(cfg.Model.ScanCPU(segLen))
 		stripeRecv := n.AllToAllv(stripeSend)
 
-		// Assemble and write the striped blocks this PE homes.
-		type asm struct {
-			data   []T
-			filled int
-			total  int
-		}
-		blocks := map[int64]*asm{}
-		for p := 0; p < n.P; p++ {
-			buf := stripeRecv[p]
-			for len(buf) > 0 {
-				g := int64(binary.LittleEndian.Uint64(buf[:8]))
-				off := int(binary.LittleEndian.Uint32(buf[8:12]))
-				cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
-				a := blocks[g]
-				if a == nil {
-					bLo := g * int64(bElem)
-					bHi := bLo + int64(bElem)
-					if bHi > runLen {
-						bHi = runLen
-					}
-					a = &asm{data: make([]T, bHi-bLo), total: int(bHi - bLo)}
-					blocks[g] = a
-				}
-				// Decode straight into the assembly slot — no staging copy.
-				elem.DecodeInto(c, a.data[off:off+cnt], buf[16:16+cnt*sz])
-				buf = buf[16+cnt*sz:]
-				a.filled += cnt
+		// Assemble and write the striped blocks this PE homes, in block
+		// order. A block's stripes arrive encoded from up to two PEs;
+		// they are copied into one block buffer and written as they
+		// are, and only the block's first element is decoded (for the
+		// prediction sequence).
+		frames = appendFrames(frames[:0], stripeRecv, sz)
+		slices.SortFunc(frames, func(a, b stripeFrame) int {
+			return cmp.Or(cmp.Compare(a.g, b.g), cmp.Compare(a.off, b.off))
+		})
+		for i := 0; i < len(frames); {
+			g := frames[i].g
+			total := int(min(int64(bElem), runLen-g*int64(bElem)))
+			filled := 0
+			for ; i < len(frames) && frames[i].g == g; i++ {
+				copy(raw[frames[i].off*sz:], frames[i].data)
+				filled += frames[i].cnt
 			}
-		}
-		cluster.RecycleRecv(stripeRecv)
-		var myBlocks []int64
-		for g := range blocks {
-			myBlocks = append(myBlocks, g)
-		}
-		sort.Slice(myBlocks, func(i, j int) bool { return myBlocks[i] < myBlocks[j] })
-		for _, g := range myBlocks {
-			a := blocks[g]
-			if a.filled != a.total {
-				return nil, fmt.Errorf("stripesort: run %d block %d assembled %d/%d", r, g, a.filled, a.total)
+			if filled != total {
+				return nil, fmt.Errorf("stripesort: run %d block %d assembled %d/%d", r, g, filled, total)
 			}
 			id := n.Vol.Alloc()
-			eb := raw[:len(a.data)*sz]
-			elem.EncodeInto(c, eb, a.data)
-			n.Vol.WriteAsync(id, eb)
-			stored[r] = append(stored[r], runBlock{blk: g, id: id, len: a.total, first: a.data[0]})
+			n.Vol.WriteAsync(id, raw[:total*sz])
+			stored[r] = append(stored[r], runBlock{blk: g, id: id, len: total, first: c.Decode(raw[:sz])})
 		}
+		cluster.RecycleRecv(stripeRecv)
 		n.AddCPU(cfg.Model.ScanCPU(segLen))
 		n.Mem.Release(3 * segLen)
 		if !cfg.Overlap {
@@ -317,11 +234,7 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 		if avail < cfg.MemElems/8 {
 			avail = cfg.MemElems / 8
 		}
-		if q := int(avail / (16 * int64(bElem))); q < quota {
-			quota = q
-		} else {
-			quota = q
-		}
+		quota = int(avail / (16 * int64(bElem)))
 		if quota < 1 {
 			quota = 1
 		}
@@ -353,7 +266,16 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 		elems []T
 	}
 	pending := make([][]piece, runs)
-	outAsm := map[int64]*outAsm[T]{}
+	// Output blocks under assembly, as encoded bytes: a block's stripes
+	// can arrive over several batches. writeOut persists one and
+	// records its global index (the collect step routes on it).
+	outAsm := map[int64]*outBlock{}
+	writeOut := func(o int64, a *outBlock) {
+		id := n.Vol.Alloc()
+		n.Vol.WriteAsync(id, a.data[:a.filled*sz])
+		bufpool.Put(a.data)
+		st.outBlocks = append(st.outBlocks, stripedBlock{idx: o, id: id, len: a.filled})
+	}
 	var outCur int64
 	cursor := 0
 
@@ -416,11 +338,14 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 
 		// Extract everything strictly before the barrier: per run the
 		// pending pieces form an ascending chain, so the emittable part
-		// is a prefix of their concatenation.
-		emitSeqs := make([][]T, 0, runs)
+		// is a prefix of each piece. The prefixes go to the merge as they
+		// are, in (run, piece) order: the merge breaks ties by sequence
+		// index, so equal elements leave in (run, position) order.
+		var emitSeqs [][]T
 		var emitMine int64
+		emitRuns := 0
 		for r := 0; r < runs; r++ {
-			var seq []T
+			before := len(emitSeqs)
 			rest := pending[r][:0]
 			for _, pc := range pending[r] {
 				cnt := len(pc.elems)
@@ -429,20 +354,22 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 						return !lessTot(key(pc.elems[j]), pc.elems[j], r, pc.pos+int64(j), bKey, bVal, bRun, bPos)
 					})
 				}
-				seq = append(seq, pc.elems[:cnt]...)
+				if cnt > 0 {
+					emitSeqs = append(emitSeqs, pc.elems[:cnt])
+					emitMine += int64(cnt)
+				}
 				if cnt < len(pc.elems) {
 					rest = append(rest, piece{pos: pc.pos + int64(cnt), elems: pc.elems[cnt:]})
 				}
 			}
 			pending[r] = rest
-			if len(seq) > 0 {
-				emitSeqs = append(emitSeqs, seq)
-				emitMine += int64(len(seq))
+			if len(emitSeqs) > before {
+				emitRuns++
 			}
 		}
 		chunk := xmerge.Merge(c, emitSeqs)
-		n.AddCPU(cfg.Model.MergeCPU(emitMine, len(emitSeqs)+1))
-		n.Mem.MustAcquire(2 * emitMine) // emit copies + merged chunk; released below
+		n.AddCPU(cfg.Model.MergeCPU(emitMine, emitRuns+1))
+		n.Mem.MustAcquire(emitMine) // merged chunk; released below
 
 		emitTotal := n.AllReduceInt64(emitMine, "sum")
 		if emitTotal > 0 {
@@ -453,32 +380,15 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 			// layout fixes positions later), so cheap sample-based
 			// splitters suffice — exactness here would cost more
 			// metadata than the batch carries data.
-			cuts := sampleCuts(c, n, chunk)
-			send := make([][]byte, n.P)
-			for q := 0; q < n.P; q++ {
-				qlo := int64(0)
-				if q > 0 {
-					qlo = cuts[q-1]
-				}
-				qhi := int64(len(chunk))
-				if q < n.P-1 {
-					qhi = cuts[q]
-				}
-				sb := bufpool.Get(int(qhi-qlo) * sz)
-				elem.EncodeInto(c, sb, chunk[qlo:qhi])
-				send[q] = sb
-			}
-			recv := n.AllToAllv(send)
+			recv := n.AllToAllv(encodeParts(c, chunk, sampleCuts(c, n, chunk)))
 			var pieceLen int64
 			for q := 0; q < n.P; q++ {
 				pieceLen += int64(len(recv[q]) / sz)
 			}
-			n.Mem.MustAcquire(2 * pieceLen) // decoded pieces + merged result
-			ps := make([][]T, n.P)
-			for q := 0; q < n.P; q++ {
-				ps[q] = elem.DecodeSlice(c, recv[q], len(recv[q])/sz)
-			}
-			cluster.RecycleRecv(recv)
+			// Decoded pieces (in the dead chunk's array when it fits) +
+			// merged result.
+			n.Mem.MustAcquire(2 * pieceLen)
+			ps, _ := decodeParts(c, recv, chunk)
 			merged := xmerge.Merge(c, ps)
 			n.AddCPU(cfg.Model.MergeCPU(pieceLen, n.P) + 2*cfg.Model.ScanCPU(pieceLen))
 
@@ -490,54 +400,34 @@ func runPE[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem, bpr int,
 				before += lens[q]
 			}
 			myLo := outCur + before
-			outSend := make([][]byte, n.P)
-			for pos := int64(0); pos < pieceLen; {
-				o := (myLo + pos) / int64(bElem)
-				bLo := o * int64(bElem)
-				take := min64(bLo+int64(bElem)-(myLo+pos), pieceLen-pos)
-				home := int(o % int64(n.P))
-				var hdr [16]byte
-				binary.LittleEndian.PutUint64(hdr[:8], uint64(o))
-				binary.LittleEndian.PutUint32(hdr[8:12], uint32(myLo+pos-bLo))
-				binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
-				outSend[home] = append(outSend[home], hdr[:]...)
-				outSend[home] = elem.AppendEncode(c, outSend[home], merged[pos:pos+take])
-				pos += take
-			}
-			outRecv := n.AllToAllv(outSend)
-			for p := 0; p < n.P; p++ {
-				buf := outRecv[p]
-				for len(buf) > 0 {
-					o := int64(binary.LittleEndian.Uint64(buf[:8]))
-					off := int(binary.LittleEndian.Uint32(buf[8:12]))
-					cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
-					a := outAsm[o]
-					if a == nil {
-						a = newOutAsm[T](bElem)
-						n.Mem.MustAcquire(int64(bElem))
-						outAsm[o] = a
-					}
-					elem.DecodeInto(c, a.data[off:off+cnt], buf[16:16+cnt*sz])
-					buf = buf[16+cnt*sz:]
-					a.filled += cnt
-					if a.filled == bElem {
-						writeOut(c, n, st, o, a.data)
-						delete(outAsm, o)
-						n.Mem.Release(int64(bElem))
-					}
+			outRecv := n.AllToAllv(stripeFrames(c, n.P, bElem, myLo, merged))
+			frames = appendFrames(frames[:0], outRecv, sz)
+			for _, f := range frames {
+				a := outAsm[f.g]
+				if a == nil {
+					a = &outBlock{data: bufpool.Get(bElem * sz)}
+					n.Mem.MustAcquire(int64(bElem))
+					outAsm[f.g] = a
+				}
+				copy(a.data[f.off*sz:], f.data)
+				a.filled += f.cnt
+				if a.filled == bElem {
+					writeOut(f.g, a)
+					delete(outAsm, f.g)
+					n.Mem.Release(int64(bElem))
 				}
 			}
 			cluster.RecycleRecv(outRecv)
 			outCur += emitTotal
 			n.Mem.Release(2 * pieceLen)
 		}
-		n.Mem.Release(3 * emitMine) // pending prefixes emitted + emit copies + merged chunk
+		n.Mem.Release(2 * emitMine) // pending prefixes emitted + merged chunk
 		cursor = end
 		st.batches++
 	}
 	// Flush the final partial output block (at most one, on its home).
 	for o, a := range outAsm {
-		writeOut(c, n, st, o, a.data[:a.filled])
+		writeOut(o, a)
 		n.Mem.Release(int64(bElem))
 	}
 	n.Mem.Release(int64(len(pred))) // prediction table dead after the merge
@@ -605,8 +495,6 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	if w < 1 {
 		w = 1
 	}
-	raw := bufpool.Get(cfg.BlockBytes)
-	defer bufpool.Put(raw)
 	type entry struct {
 		idx  int64
 		data []byte
@@ -615,20 +503,29 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	var sunk int64
 	// buildSend stages the blocks of output indices [w0, w1) and charges
 	// their elements to the budget (released once the exchange that
-	// carries them completes); drain sinks one window's receives.
+	// carries them completes). Each block travels as [idx u64 | len u32
+	// | encoded elements], read straight off the store into an exact
+	// bufpool buffer. drain sinks one window's receives.
 	buildSend := func(w1 int64) ([][]byte, int64) {
+		end := ptr
+		sizes := make([]int, n.P)
+		for ; end < len(blocks) && blocks[end].idx < w1; end++ {
+			sizes[owner(blocks[end].idx)] += 12 + blocks[end].len*sz
+		}
 		send := make([][]byte, n.P)
+		for q, size := range sizes {
+			send[q] = bufpool.Get(size)[:0]
+		}
 		var sendElems int64
-		for ptr < len(blocks) && blocks[ptr].idx < w1 {
+		for ; ptr < end; ptr++ {
 			b := blocks[ptr]
-			ptr++
-			n.Vol.ReadWait(b.id, raw[:b.len*sz])
 			dst := owner(b.idx)
-			var hdr [12]byte
-			binary.LittleEndian.PutUint64(hdr[:8], uint64(b.idx))
-			binary.LittleEndian.PutUint32(hdr[8:12], uint32(b.len))
-			send[dst] = append(send[dst], hdr[:]...)
-			send[dst] = append(send[dst], raw[:b.len*sz]...)
+			f := send[dst]
+			frame := f[len(f) : len(f)+12+b.len*sz]
+			binary.LittleEndian.PutUint64(frame[:8], uint64(b.idx))
+			binary.LittleEndian.PutUint32(frame[8:12], uint32(b.len))
+			n.Vol.ReadWait(b.id, frame[12:])
+			send[dst] = f[:len(f)+len(frame)]
 			sendElems += int64(b.len)
 			n.Vol.Free(b.id)
 		}
@@ -671,8 +568,8 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	defer st.Close() // idempotent; releases the sender on error unwinds
 	var inFlight []int64
 	for wi, posted := int64(0), int64(0); wi < nWin; wi++ {
-		for ; posted < min64(wi+depth, nWin); posted++ {
-			send, elems := buildSend(min64((posted+1)*w, total))
+		for ; posted < min(wi+depth, nWin); posted++ {
+			send, elems := buildSend(min((posted+1)*w, total))
 			st.Post(send)
 			inFlight = append(inFlight, elems)
 		}
@@ -687,31 +584,119 @@ func collectOutput[T any](c elem.Codec[T], n *cluster.Node, cfg *Config, bElem i
 	return sunk, nil
 }
 
-type outAsm[T any] struct {
-	data   []T
+// encodeParts encodes the parts of the sorted chunk, split at the P-1
+// cuts, into exact bufpool buffers: the send side of an all-to-all.
+func encodeParts[T any](c elem.Codec[T], chunk []T, cuts []int64) [][]byte {
+	send := make([][]byte, len(cuts)+1)
+	lo := int64(0)
+	for q := range send {
+		hi := int64(len(chunk))
+		if q < len(cuts) {
+			hi = cuts[q]
+		}
+		send[q] = bufpool.Get(int(hi-lo) * c.Size())
+		elem.EncodeInto(c, send[q], chunk[lo:hi])
+		lo = hi
+	}
+	return send
+}
+
+// decodeParts decodes the parts received by an all-to-all into
+// consecutive slices of one array, recycles the receive buffers and
+// returns the parts and their total length. The array is spare's when
+// it has room (a buffer that died earlier in the same run or batch, so
+// its budget charge is still live), else a fresh exact one.
+func decodeParts[T any](c elem.Codec[T], recv [][]byte, spare []T) ([][]T, int64) {
+	sz := c.Size()
+	total := 0
+	for _, b := range recv {
+		total += len(b) / sz
+	}
+	slab := spare[:cap(spare)]
+	if len(slab) < total {
+		slab = make([]T, total)
+	}
+	parts := make([][]T, len(recv))
+	for q, b := range recv {
+		cnt := len(b) / sz
+		parts[q] = slab[:cnt:cnt]
+		elem.DecodeInto(c, parts[q], b)
+		slab = slab[cnt:]
+	}
+	cluster.RecycleRecv(recv)
+	return parts, int64(total)
+}
+
+// outBlock is an output block under assembly: filled elements of
+// encoded data, in a bufpool buffer of one block.
+type outBlock struct {
+	data   []byte
 	filled int
 }
 
-func newOutAsm[T any](bElem int) *outAsm[T] {
-	return &outAsm[T]{data: make([]T, bElem)}
+// frameHdr is the size of a stripe frame's header: the block index
+// (u64), the element offset within the block (u32) and the element
+// count (u32).
+const frameHdr = 16
+
+// stripeFrame is one received stripe: cnt encoded elements that go to
+// element offset off of block g.
+type stripeFrame struct {
+	g        int64
+	off, cnt int
+	data     []byte
 }
 
-// writeOut persists one striped output block and records its global
-// index (the collect step routes on it).
-func writeOut[T any](c elem.Codec[T], n *cluster.Node, st *peState[T], o int64, data []T) {
-	id := n.Vol.Alloc()
-	enc := bufpool.Get(len(data) * c.Size())
-	elem.EncodeInto(c, enc, data)
-	n.Vol.WriteAsync(id, enc)
-	bufpool.Put(enc)
-	st.outBlocks = append(st.outBlocks, stripedBlock{idx: o, id: id, len: len(data)})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// stripeFrames frames data, the elements at positions [lo,
+// lo+len(data)) of a sequence striped in blocks of bElem elements,
+// for the all-to-all that sends each stripe to its block's home (block
+// g lives on PE g mod p). A sizing pass gives every destination an
+// exact bufpool buffer of [header | encoded elements] frames.
+func stripeFrames[T any](c elem.Codec[T], p, bElem int, lo int64, data []T) [][]byte {
+	sz := c.Size()
+	b, end := int64(bElem), lo+int64(len(data))
+	sizes := make([]int, p)
+	for pos := lo; pos < end; {
+		g := pos / b
+		take := min((g+1)*b, end) - pos
+		sizes[g%int64(p)] += frameHdr + int(take)*sz
+		pos += take
 	}
-	return b
+	send := make([][]byte, p)
+	for q, size := range sizes {
+		send[q] = bufpool.Get(size)[:0]
+	}
+	for pos := lo; pos < end; {
+		g := pos / b
+		take := min((g+1)*b, end) - pos
+		home := g % int64(p)
+		f := send[home]
+		hdr := f[len(f) : len(f)+frameHdr]
+		binary.LittleEndian.PutUint64(hdr[:8], uint64(g))
+		binary.LittleEndian.PutUint32(hdr[8:12], uint32(pos-g*b))
+		binary.LittleEndian.PutUint32(hdr[12:16], uint32(take))
+		send[home] = elem.AppendEncode(c, f[:len(f)+frameHdr], data[pos-lo:pos-lo+take])
+		pos += take
+	}
+	return send
+}
+
+// appendFrames appends the stripe frames of the received buffers to
+// dst, in buffer order; the frames alias recv.
+func appendFrames(dst []stripeFrame, recv [][]byte, sz int) []stripeFrame {
+	for _, buf := range recv {
+		for len(buf) > 0 {
+			cnt := int(binary.LittleEndian.Uint32(buf[12:16]))
+			dst = append(dst, stripeFrame{
+				g:    int64(binary.LittleEndian.Uint64(buf[:8])),
+				off:  int(binary.LittleEndian.Uint32(buf[8:12])),
+				cnt:  cnt,
+				data: buf[frameHdr : frameHdr+cnt*sz],
+			})
+			buf = buf[frameHdr+cnt*sz:]
+		}
+	}
+	return dst
 }
 
 // sampleCuts computes order-consistent (but only approximately
